@@ -14,9 +14,9 @@ deltas, and recovery — and records four digests per fault-tolerance mode:
 
 ``check_goldens`` re-runs the workload and compares byte-for-byte.  If an
 optimisation changes any digest it reordered, added, or dropped events —
-that is a semantics change and CI fails.  The expected values were recorded
-on the pre-optimisation tree and survived the entire perf overhaul
-unchanged.
+that is a semantics change and CI fails.  A deliberate schedule change
+re-pins the affected digests together with a written semantics review in
+DESIGN.md §7; every re-pin is listed there.
 """
 
 from __future__ import annotations
@@ -48,12 +48,14 @@ class GoldenDigests:
     trace_sha256: str
 
 
-#: Recorded on the pre-optimisation tree; every later perf change must
-#: reproduce them exactly.
+#: Recorded on the pre-optimisation tree.  The Clonos ``schedule_hash`` and
+#: ``kernel_steps`` were re-pinned once, when a decided ``AnyOf`` began
+#: withdrawing its losing signal waits (dead no-op pops vanish; DESIGN.md
+#: §7); every other digest is the original.
 EXPECTED: Dict[str, GoldenDigests] = {
     "clonos": GoldenDigests(
-        schedule_hash="9e6337ed7f076b32",
-        kernel_steps=16242,
+        schedule_hash="acd0b0438b7754d8",
+        kernel_steps=13220,
         sink_sha256=(
             "27c90a993c1382918db0c6cab0c6c36af89240c240794a7b62e65ea4e9210a8e"
         ),

@@ -393,6 +393,8 @@ def _cmd_profile(args) -> int:
             "wall_clock_s": round(wall, 3),
             "kernel_steps": merged.steps,
             "attributed_ms": round(merged.total_ms(), 1),
+            "gc_tracked_at_end": merged.gc_tracked,
+            "gc_collect_s": round(merged.gc_collect_ns / 1e9, 3),
             "rows": [
                 {
                     "where": row.name,

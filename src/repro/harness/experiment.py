@@ -31,7 +31,7 @@ from repro.sim.rng import RandomStreams
 
 
 @contextmanager
-def _gc_paused() -> Iterator[None]:
+def _gc_paused(profiler=None) -> Iterator[None]:
     """Pause cyclic GC for the duration of a simulation run.
 
     The event loop allocates tens of millions of short-lived objects whose
@@ -39,9 +39,13 @@ def _gc_paused() -> Iterator[None]:
     there but costs ~30% of wall time re-scanning the survivors (the event
     heap, logs, and stores).  Nothing in the simulator relies on collection
     *timing* — resources are released explicitly, never via finalizers — so
-    pausing is schedule-neutral.  The previous GC state is restored on exit
-    and one collection sweeps whatever cyclic garbage (mostly abandoned
-    generator frames) accumulated.
+    pausing is schedule-neutral.  Whatever becomes cyclic garbage meanwhile
+    stays in memory until the run ends — mostly the channel, gate and store
+    state of task incarnations torn down by failures; the kernel builds no
+    per-event cycles (a decided :class:`repro.sim.core.AnyOf` is freed by
+    refcount).  The previous GC state is restored on exit and one
+    collection sweeps that garbage; with the sim profiler attached
+    (``profiler``), it counts and times the sweep.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -50,7 +54,10 @@ def _gc_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
-            gc.collect()
+            if profiler is None:
+                gc.collect()
+            else:
+                profiler.collect_garbage()
 
 
 class SourceProgressSampler:
@@ -122,14 +129,6 @@ class ExperimentResult:
         ]
         return sum(rates) / len(rates) if rates else 0.0
 
-    def mean_output_rate(self, start: float = 0.0, end: float = float("inf")) -> float:
-        rates = [
-            s.records_per_second
-            for s in self.output_throughput
-            if start <= s.time <= end
-        ]
-        return sum(rates) / len(rates) if rates else 0.0
-
     def latency_percentile(self, q: float, start: float = 0.0,
                            end: float = float("inf")) -> float:
         values = [p.latency for p in self.latencies if start <= p.time <= end]
@@ -186,7 +185,7 @@ def run_experiment(
     for when, victim in kills:
         env.schedule_callback(when, lambda name=victim: jm.kill_task(name))
 
-    with _gc_paused():
+    with _gc_paused(env.profiler):
         if duration is not None:
             deadline = env.now + duration
             queue = env._queue

@@ -960,6 +960,10 @@ class JobManager:
         queue = env._queue
         step = env.step
         crashed = self.crashed
+        # perfbench/worker.py wraps JobManager._job_finished as its per-event
+        # clock tick (one wall-clock reading every N kernel events), so this
+        # loop must keep calling it exactly once per step: skipping or
+        # batching the call would game that benchmark's chunked-wall estimate.
         finished = self._job_finished
         while not finished():
             if crashed:

@@ -26,6 +26,10 @@ Hot-path notes (see DESIGN.md, "Kernel fast paths"):
 * ``run()`` dispatches events in a loop that skips the tracer/profiler
   branches entirely when neither is installed.  The per-event *schedule* is
   identical either way; only the Python overhead differs.
+* A decided :class:`AnyOf` frees itself: it detaches from its losing
+  ``Timeout``, withdraws its losing signal waits from their signal (they
+  never become kernel events), and drops its child list, so no reference
+  cycle outlives the wait and refcounting reclaims it with cyclic GC paused.
 """
 
 from __future__ import annotations
@@ -85,7 +89,9 @@ class Event:
     processes may wait on the same event.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_processed")
+    __slots__ = (
+        "env", "callbacks", "_value", "_ok", "_triggered", "_processed", "_owner"
+    )
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -94,6 +100,10 @@ class Event:
         self._ok: bool = True
         self._triggered = False
         self._processed = False
+        #: The waiter queue (a :class:`repro.sim.queues.Signal`) this pending
+        #: event is registered with, or None.  A condition that no longer
+        #: needs the event calls ``_owner.withdraw(event)``.
+        self._owner: Any = None
 
     @property
     def triggered(self) -> bool:
@@ -159,6 +169,7 @@ def _make_resume_event(
     ev._ok = ok
     ev._triggered = True
     ev._processed = False
+    ev._owner = None
     return ev
 
 
@@ -176,6 +187,7 @@ class Timeout(Event):
         self._ok = True
         self._triggered = True
         self._processed = False
+        self._owner = None
         env._seq = seq = env._seq + 1
         heappush(
             env._queue,
@@ -316,7 +328,7 @@ class Process(Event):
 class Condition(Event):
     """Base for :class:`AllOf` / :class:`AnyOf`."""
 
-    __slots__ = ("_events", "_pending")
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         # Inlined Event.__init__: conditions are built once per wait in the
@@ -327,22 +339,11 @@ class Condition(Event):
         self._ok = True
         self._triggered = False
         self._processed = False
+        self._owner = None
         self._events = list(events)
-        pending = 0
-        on_child = self._on_child
-        for ev in self._events:
-            if ev.callbacks is None:
-                # Already processed (fired in the past): count immediately.
-                # NOTE: a *scheduled* Timeout has triggered=True from birth;
-                # only `callbacks is None` means it actually fired.
-                on_child(ev)
-            else:
-                pending += 1
-                ev.callbacks.append(on_child)
-        self._pending = pending
-        self._check_bootstrap()
+        self._register()
 
-    def _check_bootstrap(self) -> None:
+    def _register(self) -> None:
         raise NotImplementedError
 
     def _on_child(self, event: Event) -> None:
@@ -358,7 +359,16 @@ class AllOf(Condition):
         self._done = 0
         super().__init__(env, events)
 
-    def _check_bootstrap(self) -> None:
+    def _register(self) -> None:
+        on_child = self._on_child
+        for ev in self._events:
+            if ev.callbacks is None:
+                # Already processed (fired in the past): count immediately.
+                # NOTE: a *scheduled* Timeout has triggered=True from birth;
+                # only `callbacks is None` means it actually fired.
+                on_child(ev)
+            else:
+                ev.callbacks.append(on_child)
         if not self._triggered and self._done == len(self._events):
             self.succeed([ev.value for ev in self._events])
 
@@ -374,22 +384,59 @@ class AllOf(Condition):
 
 
 class AnyOf(Condition):
-    """Triggers as soon as any child event triggers."""
+    """Triggers as soon as any child event triggers; its value is that child.
+
+    Once decided it lets go of the losers (see :meth:`_decide`): a decided
+    wait holds no reference to its children and leaves nothing registered
+    on a signal, so it is freed by refcount the moment its waiter resumes.
+    """
 
     __slots__ = ()
 
-    def _check_bootstrap(self) -> None:
-        # Children processed before construction were counted in __init__;
-        # nothing more to do here (AnyOf fires from _on_child directly).
-        return None
+    def _register(self) -> None:
+        events = self._events
+        for ev in events:
+            if ev.callbacks is None:
+                # A child that fired before construction decides the wait
+                # now; no child is ever registered on.
+                self._decide(ev, 0)
+                return
+        on_child = self._on_child
+        for ev in events:
+            ev.callbacks.append(on_child)
 
     def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed(event)
+        # Once decided, only a loser that could not be detached calls back.
+        if not self._triggered:
+            self._decide(event, 1)
+
+    def _decide(self, winner: Event, ours: int) -> None:
+        """Fire with ``winner``, then let go of every losing child.
+
+        ``ours`` is how many callbacks this condition put on each child (0
+        when built already decided).  A loser is only touched when nobody
+        else waits on it, and only where its later dispatch provably does
+        nothing else: a queued successful event (typically the losing
+        ``Timeout``) still pops at its time but resumes nobody, and a
+        pending signal wait is withdrawn from its signal, so it never
+        becomes a kernel event.  Other pending children (processes, store
+        gets, nested conditions) keep the no-op callback: they may still
+        fail, and the kernel raises a failure that nobody waits for.
+        """
+        if winner._ok:
+            self.succeed(winner)
+        else:
+            self.fail(winner._value)
+        for ev in self._events:
+            cbs = ev.callbacks
+            if ev is winner or cbs is None or len(cbs) != ours:
+                continue
+            if ev._triggered:
+                if ev._ok:
+                    cbs.clear()
+            elif ev._owner is not None:
+                ev._owner.withdraw(ev)
+        self._events = ()
 
 
 class Environment:

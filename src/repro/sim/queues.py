@@ -8,7 +8,7 @@ from: bounded FIFO stores (network queues, mailboxes) and counted resources
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generic, List, Optional, TypeVar
+from typing import Any, Deque, Dict, Generic, List, Optional, TypeVar
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment, Event, has_live_callbacks
@@ -35,10 +35,6 @@ class Store(Generic[T]):
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
 
     def put(self, item: T) -> Event:
         """Queue ``item``; the returned event triggers once it is accepted."""
@@ -133,22 +129,37 @@ class Signal:
     empty waits on the signal; producers pulse after enqueueing.  Because the
     kernel is cooperative (no preemption between the poll and the wait),
     wakeups cannot be lost.
+
+    Each :meth:`wait` is a plain pending :class:`Event` registered in an
+    insertion-ordered dict; :meth:`pulse` triggers the registered waits in
+    FIFO order.  A wait nobody needs any more is taken back with
+    :meth:`withdraw` — an :class:`~repro.sim.core.AnyOf` does this for its
+    losing signal waits once another child decided it — so a signal that
+    never pulses accumulates no stale waiters, and a later pulse schedules
+    no dead kernel events.
     """
 
     def __init__(self, env: Environment):
         self.env = env
-        self._waiters: List[Event] = []
+        self._waiters: Dict[Event, None] = {}
 
     def wait(self) -> Event:
         ev = Event(self.env)
-        self._waiters.append(ev)
+        ev._owner = self
+        self._waiters[ev] = None
         return ev
 
+    def withdraw(self, event: Event) -> None:
+        """Forget a pending wait; it will never trigger."""
+        self._waiters.pop(event, None)
+
     def pulse(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            if not ev.triggered:
-                ev.succeed()
+        waiters = self._waiters
+        if waiters:
+            self._waiters = {}
+            for ev in waiters:
+                if not ev._triggered:
+                    ev.succeed()
 
 
 class Resource:

@@ -7,6 +7,11 @@ process generator.  :class:`SimProfiler` hooks the kernel's callback loop
 hook) and attributes elapsed ``time.perf_counter_ns`` to the process (or
 handler) that ran, so later perf PRs know where the hot paths are.
 
+It also times the harness's end-of-run ``gc.collect()`` (see
+:meth:`SimProfiler.collect_garbage`) and records how many GC-tracked objects
+were still alive when the run ended, so a leak of kernel objects shows up in
+``repro profile`` rather than only in a process's peak RSS.
+
 Wall-clock readings are host-dependent and therefore **nondeterministic**;
 they never enter the sim, the trace event bus, or the deterministic
 exporters — the profiler's only output is its own report.  (This is the one
@@ -16,6 +21,7 @@ framework allowlist in :mod:`repro.analysis.rules`.)
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,12 +54,17 @@ def _attribution_key(callback: Callable[..., Any], event: Any) -> str:
 class SimProfiler:
     """Accumulates wall-clock self-time keyed by sim process/handler name."""
 
-    __slots__ = ("_calls", "_total_ns", "steps")
+    __slots__ = ("_calls", "_total_ns", "steps", "gc_sweeps", "gc_tracked", "gc_collect_ns")
 
     def __init__(self) -> None:
         self._calls: Dict[str, int] = {}
         self._total_ns: Dict[str, int] = {}
         self.steps = 0
+        #: End-of-run collections timed by :meth:`collect_garbage`.
+        self.gc_sweeps = 0
+        #: GC-tracked objects alive when a run ended (the largest, merged).
+        self.gc_tracked = 0
+        self.gc_collect_ns = 0
 
     def on_step(self, when: float, priority: int, event: Any) -> None:
         self.steps += 1
@@ -66,6 +77,15 @@ class SimProfiler:
         key = _attribution_key(callback, event)
         self._calls[key] = self._calls.get(key, 0) + 1
         self._total_ns[key] = self._total_ns.get(key, 0) + elapsed
+
+    def collect_garbage(self) -> None:
+        """Run the end-of-run ``gc.collect()``, recording the GC-tracked
+        object count just before it and the seconds it takes."""
+        self.gc_tracked = max(self.gc_tracked, len(gc.get_objects()))
+        started = time.perf_counter_ns()
+        gc.collect()
+        self.gc_collect_ns += time.perf_counter_ns() - started
+        self.gc_sweeps += 1
 
     def rows(self, top: Optional[int] = None) -> List[ProfileRow]:
         rows = [
@@ -83,6 +103,9 @@ class SimProfiler:
             self._calls[name] = self._calls.get(name, 0) + calls
             self._total_ns[name] = self._total_ns.get(name, 0) + other._total_ns[name]
         self.steps += other.steps
+        self.gc_sweeps += other.gc_sweeps
+        self.gc_tracked = max(self.gc_tracked, other.gc_tracked)
+        self.gc_collect_ns += other.gc_collect_ns
 
     def report(self, top: int = 10) -> str:
         rows = self.rows(top)
@@ -98,6 +121,12 @@ class SimProfiler:
             lines.append(
                 f"  {row.name:<{width}}  {row.calls:>8}  "
                 f"{row.total_ms:>9.2f}  {row.mean_us:>8.1f}"
+            )
+        if self.gc_sweeps:
+            lines.append(
+                f"gc at run end: {self.gc_tracked} GC-tracked objects live "
+                f"(largest of {self.gc_sweeps} runs), final gc.collect() "
+                f"{self.gc_collect_ns / 1e9:.3f} s in total"
             )
         return "\n".join(lines)
 

@@ -1,10 +1,10 @@
 """The determinism gate behind the perf overhaul.
 
 Byte-for-byte regression pins: the golden workload's kernel schedule hash,
-sink output, and trace export must match the digests recorded on the
-pre-optimisation tree.  Any kernel/record-path change that reorders, adds,
-or drops events fails here — being faster is only legal if the simulation
-is unchanged.
+sink output, and trace export must match the pinned digests.  Any
+kernel/record-path change that reorders, adds, or drops events fails here —
+being faster is only legal if the simulation is unchanged, and a deliberate
+schedule change re-pins with a semantics review (DESIGN.md §7).
 """
 
 import pytest
@@ -30,8 +30,9 @@ def test_profiler_is_passive():
         digests = run_golden("clonos")
     assert profilers, "golden run should have built profiled environments"
     assert digests == EXPECTED["clonos"]
-    # The profiler counts only events that dispatched callbacks (tombstoned
-    # wake-ups are hashed by the tracer but never timed), so its step count
-    # trails the schedule's slightly but can never exceed it.
+    # The profiler counts only events that dispatched callbacks (a process
+    # nobody joins, or a losing Timeout a decided AnyOf detached from, is
+    # hashed by the tracer but never timed), so its step count trails the
+    # schedule's slightly but can never exceed it.
     merged_steps = sum(p.steps for p in profilers)
     assert 0 < merged_steps <= EXPECTED["clonos"].kernel_steps

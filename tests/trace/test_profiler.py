@@ -59,3 +59,42 @@ def test_merge_profiles_sums_calls_and_time():
 
 def test_empty_report_is_harmless():
     assert SimProfiler().report() == "profiler: no callbacks recorded"
+
+
+def test_profiled_run_times_its_end_of_run_gc_sweep():
+    from repro.config import FaultToleranceMode
+    from repro.harness.experiment import run_experiment
+    from repro.workloads.synthetic import synthetic_chain
+
+    from tests.runtime.helpers import make_config
+
+    def build(log, external):
+        return synthetic_chain(
+            log,
+            depth=2,
+            parallelism=1,
+            rate_per_partition=2000.0,
+            total_per_partition=200,
+            out_topic="out",
+        )
+
+    with profiling() as profilers:
+        run_experiment(build, make_config(FaultToleranceMode.CLONOS), limit=60)
+    (profiler,) = profilers
+    assert profiler.gc_sweeps == 1
+    assert profiler.gc_tracked > 0
+    assert profiler.gc_collect_ns > 0
+    assert "GC-tracked objects live" in profiler.report()
+
+
+def test_merge_keeps_the_largest_gc_count_and_sums_sweep_time():
+    one, two = SimProfiler(), SimProfiler()
+    one._calls["process:a"] = two._calls["process:a"] = 1
+    one._total_ns["process:a"] = two._total_ns["process:a"] = 1
+    one.gc_sweeps, one.gc_tracked, one.gc_collect_ns = 1, 500, 2_000_000
+    two.gc_sweeps, two.gc_tracked, two.gc_collect_ns = 1, 300, 1_000_000
+    merged = merge_profiles([one, two])
+    assert (merged.gc_sweeps, merged.gc_tracked) == (2, 500)
+    assert merged.gc_collect_ns == 3_000_000
+    assert "500 GC-tracked objects live (largest of 2 runs)" in merged.report()
+    assert "gc at run end" not in SimProfiler().report()
