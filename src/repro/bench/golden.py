@@ -48,26 +48,26 @@ class GoldenDigests:
     trace_sha256: str
 
 
-#: Recorded on the pre-optimisation tree.  The Clonos ``schedule_hash`` and
-#: ``kernel_steps`` were re-pinned once, when a decided ``AnyOf`` began
-#: withdrawing its losing signal waits (dead no-op pops vanish; DESIGN.md
-#: §7); every other digest is the original.
+#: Re-pinned when sources began batching their fetches
+#: (``CostModel.source_fetch_wait``; DESIGN.md §7 has the semantics review).
+#: With ``source_fetch_wait=0`` the run reproduces the previous pins
+#: byte-for-byte, and the Flink trace export did not move at all.
 EXPECTED: Dict[str, GoldenDigests] = {
     "clonos": GoldenDigests(
-        schedule_hash="acd0b0438b7754d8",
-        kernel_steps=13220,
+        schedule_hash="84721acac4961f6d",
+        kernel_steps=4998,
         sink_sha256=(
-            "27c90a993c1382918db0c6cab0c6c36af89240c240794a7b62e65ea4e9210a8e"
+            "d3b20f5ab6b2a09119e8a092bb9e550ef04e3590584c5b66b25cc49ec7ad9bfe"
         ),
         trace_sha256=(
-            "f41d57ee3e154a4dbba735a7fc621dc9407efc7cd4fb73201d9ea67c295fafb8"
+            "fe589066eae07189ad950417d7a27566a2d9634399424dcf1332c16e2cadbb10"
         ),
     ),
     "flink": GoldenDigests(
-        schedule_hash="5bcf8c2cf022b74f",
-        kernel_steps=12195,
+        schedule_hash="03216a079adbce46",
+        kernel_steps=4513,
         sink_sha256=(
-            "c991604fa261aa1d1b0d9135cd1ed958bf193d84a9f79ee5bfb4e8440f0c3eef"
+            "672eaf8c3627a687f6349f3650f5c97aeff6277bc7fe2556daa4acaac4711eae"
         ),
         trace_sha256=(
             "3caa4a51dcbaeec1ffcf8280abc030cf8fe9748d3d650d20b64881deaeb8cd39"
@@ -81,19 +81,18 @@ _MODES: Dict[str, FaultToleranceMode] = {
 }
 
 
-def _golden_config(mode: FaultToleranceMode) -> JobConfig:
+def _golden_config(mode: FaultToleranceMode, **cost_overrides) -> JobConfig:
     # Tight detection/deploy constants keep the kill-and-recover cycle well
     # inside the short run.
-    return experiment_config(
-        mode,
-        None,
-        checkpoint_interval=0.5,
+    costs = dict(
         connection_failure_detection=0.05,
         standby_activation_time=0.05,
         task_deploy_time=0.5,
         heartbeat_interval=0.2,
         heartbeat_timeout=0.3,
     )
+    costs.update(cost_overrides)
+    return experiment_config(mode, None, checkpoint_interval=0.5, **costs)
 
 
 def _golden_graph(log: DurableLog, external: Optional[ExternalService]) -> JobGraph:
@@ -110,9 +109,12 @@ def _golden_graph(log: DurableLog, external: Optional[ExternalService]) -> JobGr
     )
 
 
-def run_golden(label: str) -> GoldenDigests:
-    """Run the golden workload for one mode and return its digests."""
-    config = _golden_config(_MODES[label])
+def run_golden(label: str, **cost_overrides) -> GoldenDigests:
+    """Run the golden workload for one mode and return its digests.
+
+    ``cost_overrides`` replace :class:`~repro.config.CostModel` fields; the
+    pinned :data:`EXPECTED` digests hold for the defaults only."""
+    config = _golden_config(_MODES[label], **cost_overrides)
     with traced_environments(keep_trace=False) as tracers:
         result = run_experiment(
             _golden_graph, config, kills=[(0.4, "stage1[0]")], limit=3600.0

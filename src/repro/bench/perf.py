@@ -7,6 +7,13 @@ by measured wall time.  Because the simulated work is frozen by the
 determinism gate (:mod:`repro.bench.golden`), records/s is a pure measure
 of simulator speed, comparable across commits.
 
+Next to the wall clock each suite records deterministic protocol-volume
+counts — kernel events dispatched and source polls — which are the same on
+every host, so a change in them is a change in the simulated work itself.
+A BENCH file from another commit measured on the same host can be laid
+beside the run (``same_host_baseline``), which is the comparison a wall
+clock supports; the pinned ``BASELINE`` was measured on another machine.
+
 ``BASELINE`` pins the pre-optimisation measurements this PR started from so
 ``BENCH_perf.json`` always carries its own before/after comparison; CI
 uploads the file as an artifact to build the speed trajectory over time.
@@ -19,6 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional
 
+from repro.harness.experiment import counting_runs
 from repro.harness.figures import (
     fig5_overhead,
     fig6_multi_failures,
@@ -43,6 +51,9 @@ class SuiteResult:
     name: str
     wall_clock_s: float
     simulated_records: int
+    #: Kernel events dispatched and source polls, summed over the suite's runs.
+    kernel_events: int = 0
+    source_polls: int = 0
 
     @property
     def records_per_wall_second(self) -> float:
@@ -101,35 +112,62 @@ BASELINE: Mapping[str, float] = {
 def run_suite(name: str) -> SuiteResult:
     """Run one suite to completion and time it."""
     spec = SUITES[name]
-    started = time.perf_counter()
-    spec.runner()
-    elapsed = time.perf_counter() - started
+    with counting_runs() as counts:
+        started = time.perf_counter()
+        spec.runner()
+        elapsed = time.perf_counter() - started
     return SuiteResult(
         name=name,
         wall_clock_s=elapsed,
         simulated_records=spec.simulated_records,
+        kernel_events=sum(c.kernel_events for c in counts),
+        source_polls=sum(c.source_polls for c in counts),
     )
 
 
+#: Fields copied from a same-host baseline suite entry, when it has them.
+_SAME_HOST_FIELDS = ("wall_clock_s", "kernel_events", "source_polls")
+
+
 def perf_payload(
-    results: List[SuiteResult], golden_failures: Optional[List[str]] = None
+    results: List[SuiteResult],
+    golden_failures: Optional[List[str]] = None,
+    same_host_baseline: Optional[Mapping[str, object]] = None,
 ) -> Dict[str, object]:
-    """The ``BENCH_perf.json`` payload for a set of suite results."""
+    """The ``BENCH_perf.json`` payload for a set of suite results.
+
+    ``same_host_baseline`` is another commit's payload measured on this
+    host; each suite it also ran gets a ``same_host_baseline`` entry with
+    that run's wall clock and counts, and the wall-clock speedup over it.
+    """
     suites: Dict[str, Dict[str, object]] = {}
     total = 0.0
     baseline_total = 0.0
+    other_suites = (same_host_baseline or {}).get("suites", {})
     for result in results:
         baseline = BASELINE.get(result.name)
+        records = result.simulated_records
         entry: Dict[str, object] = {
             "description": SUITES[result.name].description,
             "wall_clock_s": round(result.wall_clock_s, 3),
-            "simulated_records": result.simulated_records,
+            "simulated_records": records,
             "records_per_wall_second": round(result.records_per_wall_second, 1),
+            "kernel_events": result.kernel_events,
+            "kernel_events_per_record": round(result.kernel_events / records, 3),
+            "source_polls": result.source_polls,
+            "source_polls_per_record": round(result.source_polls / records, 3),
         }
         if baseline is not None:
             entry["baseline_wall_clock_s"] = baseline
             entry["speedup_vs_baseline"] = round(baseline / result.wall_clock_s, 2)
             baseline_total += baseline
+        other = other_suites.get(result.name)
+        if other is not None:
+            same_host = {k: other[k] for k in _SAME_HOST_FIELDS if k in other}
+            same_host["speedup"] = round(
+                other["wall_clock_s"] / result.wall_clock_s, 2
+            )
+            entry["same_host_baseline"] = same_host
         suites[result.name] = entry
         total += result.wall_clock_s
     payload: Dict[str, object] = {

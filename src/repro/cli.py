@@ -6,7 +6,7 @@
     python -m repro trace [--mode clonos|flink|both] [--out DIR] [--check]
     python -m repro memory
     python -m repro table1
-    python -m repro bench [--suite NAME ...] [--json BENCH_perf.json] [--golden-only]
+    python -m repro bench [--suite NAME ...] [--json BENCH_perf.json] [--baseline PATH] [--golden-only]
     python -m repro profile [SUITE] [--top N] [--json]
     python -m repro lint [all | q5 | examples | path/to/file.py ...] [--strict]
     python -m repro verify-static [--json] [--bench BENCH_static.json] [DIR ...]
@@ -354,10 +354,15 @@ def _cmd_bench(args) -> int:
         result = run_suite(name)
         print(
             f"suite {name}: {result.wall_clock_s:.2f}s wall, "
-            f"{result.records_per_wall_second:,.0f} simulated records/s"
+            f"{result.records_per_wall_second:,.0f} simulated records/s, "
+            f"{result.kernel_events:,} kernel events, "
+            f"{result.source_polls:,} source polls"
         )
         results.append(result)
-    payload = perf_payload(results, golden_failures)
+    same_host = (
+        json_module.loads(Path(args.baseline).read_text()) if args.baseline else None
+    )
+    payload = perf_payload(results, golden_failures, same_host)
     total = payload["total_wall_clock_s"]
     speedup = payload.get("speedup_vs_baseline")
     line = f"total: {total}s"
@@ -979,6 +984,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pb.add_argument(
         "--json", metavar="PATH", help="write results as JSON (e.g. BENCH_perf.json)"
+    )
+    pb.add_argument(
+        "--baseline",
+        metavar="PATH",
+        help="a BENCH json of another commit run on this host, recorded "
+        "beside each suite as same_host_baseline",
     )
     pb.add_argument(
         "--golden-only",

@@ -139,6 +139,11 @@ class CostModel:
     input_queue_buffers: int = 8
     #: Periodic flush interval of the output flusher thread.
     flush_interval: float = 20e-3
+    #: Source fetch linger, Kafka's ``fetch.max.wait.ms``: a source poll
+    #: returns records once a full batch has arrived or the oldest pending
+    #: record has waited this long (a quarter of ``flush_interval``).  0
+    #: returns whatever has arrived on every poll.
+    source_fetch_wait: float = 5e-3
 
     # -- durable storage -------------------------------------------------------
     #: DFS (HDFS-like) write and read bandwidth for checkpoints.

@@ -408,13 +408,6 @@ class CausalLogManager:
                     f"log={log_name} from sender={sender_task_id}: {exc}"
                 ) from exc
 
-    def store_distance_fixup(self, sender_task_id: str) -> None:
-        """Record that ``sender_task_id`` is a direct upstream (distance 0)."""
-        if sender_task_id in self.store:
-            _d, bundle = self.store[sender_task_id]
-            self.store[sender_task_id] = (0, bundle)
-            self._share_cache = None
-
     def _all_logs(self) -> Iterable[EpochLog]:
         """Every log this manager holds: own bundle + causal store."""
         yield from self.bundle.logs.values()

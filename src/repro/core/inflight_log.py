@@ -283,15 +283,3 @@ class InFlightLog(InFlightLogSink):
                 yield link.send(entry.buffer)
                 entry.sent = True
                 self.buffers_replayed += 1
-
-    # -- metrics -------------------------------------------------------------------------------
-
-    def memory_buffers_in_use(self) -> int:
-        return self.pool.in_use_buffers
-
-    def total_logged_bytes(self) -> int:
-        return sum(
-            entry.buffer.size_bytes
-            for entries in self._entries.values()
-            for entry in entries
-        )

@@ -30,6 +30,32 @@ from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 
 
+@dataclass(frozen=True)
+class RunCounts:
+    """Deterministic protocol-volume counts of one run (host-independent)."""
+
+    kernel_events: int
+    source_polls: int
+
+
+#: Where :func:`run_experiment` reports each run's counts while a
+#: :func:`counting_runs` block is open; read after the run, so zero events.
+_run_counts: Optional[List[RunCounts]] = None
+
+
+@contextmanager
+def counting_runs() -> Iterator[List[RunCounts]]:
+    """Collect the :class:`RunCounts` of every experiment run inside the
+    ``with`` block, in run order."""
+    global _run_counts
+    previous = _run_counts
+    _run_counts = counts = []
+    try:
+        yield counts
+    finally:
+        _run_counts = previous
+
+
 @contextmanager
 def _gc_paused(profiler=None) -> Iterator[None]:
     """Pause cyclic GC for the duration of a simulation run.
@@ -207,6 +233,8 @@ def run_experiment(
             jm.run_until_done(limit=limit)
     out_sampler.stop()
     in_sampler.stop()
+    if _run_counts is not None:
+        _run_counts.append(RunCounts(env.events_popped, log.fetches))
     return ExperimentResult(
         config=config,
         jm=jm,

@@ -33,9 +33,9 @@ class InputChannel:
         self.blocked = False
         #: Arrival notifications consumed while blocked (buffers still queued).
         self.deferred = 0
-        #: Highest sequence number *delivered* into the queue (reported in
-        #: the reconnect handshake for sender-side deduplication; consumption
-        #: may lag behind).
+        #: Highest sequence number *delivered* to this channel, queued or
+        #: waiting for a credit (reported in the reconnect handshake for
+        #: sender-side deduplication; consumption may lag behind).
         self.delivered_seq = -1
         #: Notifications made stale by a direct take_from (ordered replay).
         self.owed_notifications = 0
@@ -49,18 +49,16 @@ class InputChannel:
             failed.fail(NetworkError(f"input channel {self.index} closed"))
             return failed
         done = self.queue.put(buffer)
-        seq = buffer.seq
-
-        def note(_ev=None, s=seq):
-            if s > self.delivered_seq:
-                self.delivered_seq = s
-            self._on_queued()
-
+        # A put waiting for a credit still lands (a failed sender cannot
+        # withdraw it), so it counts as delivered at once: a replacement
+        # sender that handshakes meanwhile must not send it a second time.
+        if buffer.seq > self.delivered_seq:
+            self.delivered_seq = buffer.seq
         # Notify the gate only once the buffer is actually queued.
         if done.triggered:
-            note()
+            self._on_queued()
         else:
-            done.callbacks.append(note)
+            done.callbacks.append(lambda _ev: self._on_queued())
         return done
 
     def _on_queued(self) -> None:
@@ -169,10 +167,6 @@ class InputGate:
                 woke_any = True
         if woke_any:
             self.arrival_signal.pulse()
-
-    @property
-    def blocked_channels(self) -> List[int]:
-        return [ch.index for ch in self.channels if ch.blocked]
 
     def close(self) -> None:
         for channel in self.channels:

@@ -110,15 +110,16 @@ class NetworkLink:
         """Connection reset (the sender died): in-transit data is lost and
         the dead sender's queued puts are purged.  Returns dropped count."""
         self._generation += 1
+        # Discard the queued puts first: clearing the wire admits waiting
+        # puts into the freed slots, and an admitted buffer of the dead
+        # sender would be delivered after the dropped ones -- a sequence
+        # gap the receiver reports as delivered, so the replacement's
+        # sender-side dedup would suppress the records in the gap.
+        waiting = self._wire.drop_waiting_puts()
         dropped = self._wire.clear()
-        for buffer in dropped:
-            self._drop(buffer)
-        for buffer in self._wire.drop_waiting_puts():
+        for buffer in dropped + waiting:
             self._drop(buffer)
         return len(dropped)
-
-    def try_send(self, buffer: NetworkBuffer) -> bool:
-        return self._wire.try_put(buffer)
 
     @property
     def in_transit(self) -> int:

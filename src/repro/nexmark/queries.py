@@ -171,7 +171,10 @@ def q4(log: DurableLog, parallelism: int = 2, in_topic: str = "nexmark",
 
 def _hot_items_tree(builder: JobGraphBuilder, bids: DataStream, slide: bool) -> DataStream:
     """The skew-resistant aggregation tree shared by Q5 and Q7 (adds depth:
-    partial aggregates per hash bucket, then a global winner)."""
+    partial aggregates per hash bucket, then a global winner).
+
+    A tie on the bid count goes to the lowest auction id, so the winner
+    never depends on the order in which the partial results arrive."""
     window_kwargs = {"slide": SLIDE} if slide else {}
     counted = bids.key_by(lambda b: b.auction).process(
         "count",
@@ -188,7 +191,7 @@ def _hot_items_tree(builder: JobGraphBuilder, bids: DataStream, slide: bool) -> 
         "partial-max",
         lambda: EventTimeWindowOperator(
             SLIDE,
-            MaxAggregator(lambda t: t[2]),
+            MaxAggregator(lambda t: (t[2], -t[1])),
             result_fn=lambda key, window, best: best,
         ),
     )
@@ -196,7 +199,7 @@ def _hot_items_tree(builder: JobGraphBuilder, bids: DataStream, slide: bool) -> 
         "global-max",
         lambda: EventTimeWindowOperator(
             SLIDE,
-            MaxAggregator(lambda t: t[2]),
+            MaxAggregator(lambda t: (t[2], -t[1])),
             result_fn=lambda key, window, best: best,
         ),
     )

@@ -16,15 +16,22 @@ from repro.graph.elements import StreamRecord
 from repro.operators.base import Context, Operator
 from repro.timing.watermarks import SourceWatermarkGenerator
 
+#: A wake-up scheduled for a fetch deadline lands on it up to float rounding
+#: of ``now + (deadline - now)``; the slack keeps that wake from lingering a
+#: second time.  Far below any arrival spacing, so it never returns early.
+_CLOCK_SLACK = 1e-9
+
 
 class SourceOperator(Operator):
     """Base for sources; the runtime drives :meth:`poll` in its source loop."""
 
-    def poll(self, ctx: Context, max_records: int):
+    def poll(self, ctx: Context, max_records: int, max_wait: float = 0.0):
         """Return ``(records, next_arrival_time_or_None)``.
 
         ``records`` may be empty; ``next_arrival_time`` tells the runtime
-        when new input becomes available (None = exhausted forever).
+        when to poll again (None = exhausted forever).  ``max_wait`` is the
+        fetch linger: a source may hold back a partial batch until its
+        oldest record has waited that long.
         """
         raise NotImplementedError
 
@@ -68,13 +75,14 @@ class KafkaSource(SourceOperator):
     def open(self, ctx: Context) -> None:
         self._partition = self.log.partition(self.topic, ctx.subtask_index)
 
-    def poll(self, ctx: Context, max_records: int):
+    def poll(self, ctx: Context, max_records: int, max_wait: float = 0.0):
         if self._partition is None:
             raise StateError("source polled before open()")
         # Availability gating is physical (what has arrived at the broker),
         # not computational: it must NOT go through the causal timestamp
         # service, or replay would consume determinants per poll.
         now = ctx.now
+        self.log.fetches += 1
         try:
             self.log.check_available(now, f"fetch {self.topic}")
         except ExternalSystemError:
@@ -83,6 +91,16 @@ class KafkaSource(SourceOperator):
             # duplicated, exactly like a real consumer's fetch retry loop.
             self.stalled_polls += 1
             return [], self.log.retry_at(now)
+        # Fetch batching: nothing is returned before a full batch has
+        # arrived or the oldest pending record has lingered ``max_wait``.
+        # Stateless (offset + clock), so replay-safe; with ``max_wait=0``
+        # the deadline is the head record's arrival and every arrived record
+        # is returned, as an unbatched consumer would.
+        deadline = self._partition.fetch_deadline(self.offset, max_records, max_wait)
+        if deadline is None:
+            return [], None
+        if now + _CLOCK_SLACK < deadline:
+            return [], deadline
         entries = self._partition.read(self.offset, max_records, now=now)
         records = []
         if entries:
@@ -130,7 +148,7 @@ class IteratorSource(SourceOperator):
         self.key_fn = key_fn
         self.offset = 0
 
-    def poll(self, ctx: Context, max_records: int):
+    def poll(self, ctx: Context, max_records: int, max_wait: float = 0.0):
         records = []
         while self.offset < len(self.items) and len(records) < max_records:
             item = self.items[self.offset]

@@ -453,7 +453,9 @@ class StreamTask:
                 if self.timers.has_due():
                     yield from self._fire_timer(self.timers.pop_due())
                     continue
-                records, next_arrival = self.operator.poll(self.ctx, self.SOURCE_BATCH)
+                records, next_arrival = self.operator.poll(
+                    self.ctx, self.SOURCE_BATCH, self.cost.source_fetch_wait
+                )
                 if records:
                     record_cpu_cost = self.cost.record_cpu_cost
                     for record in records:
@@ -1038,6 +1040,8 @@ class StreamTask:
             self._finish_recovery()
 
     def _replay_emit(self, count: int):
+        # No fetch linger: every record a determinant names arrived before
+        # the failure, so replay reads them at once.
         records, _next = self.operator.poll(self.ctx, min(count, self.SOURCE_BATCH))
         if not records:
             raise DeterminantLogError(

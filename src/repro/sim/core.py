@@ -474,6 +474,12 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         return self._active_process
 
+    @property
+    def events_popped(self) -> int:
+        """Kernel events dispatched so far: every scheduled event bumps
+        ``_seq`` and sits in the queue until it is popped."""
+        return self._seq - len(self._queue)
+
     # -- scheduling ---------------------------------------------------------
 
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:

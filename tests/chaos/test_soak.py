@@ -105,3 +105,20 @@ def test_degraded_runs_announce_themselves():
     assert result.verdict == "degraded:global_rollback", describe(result)
     assert any(k in DEGRADATION_MARKERS for (_t, k, _w) in result.degradations)
     assert result.missing == 0, "degraded still means at-least-once"
+
+
+def test_overlapping_recoveries_of_a_receiver_and_both_senders_stay_exactly_once():
+    # Found by the soak: stage2[1] dies, then both of its upstreams die while
+    # it is still replaying.  The first sender's crash reset its link while
+    # a buffer waited for a wire slot; the reset admitted that buffer and the
+    # receiver saw seq 13 right after seq 8, so the replacement sender
+    # deduplicated seqs 9-12 against a delivered_seq that skipped them and
+    # 140 records vanished.  Any two of the three kills were exactly-once.
+    plan = (
+        FaultPlan(seed=2801)
+        .add(0.1235, "task_kill", target="stage2[1]")
+        .add(0.3249, "task_kill", target="stage1[1]")
+        .add(0.4259, "task_kill", target="stage1[0]")
+    )
+    result = run_chaos_experiment(plan, limit=LIMIT)
+    assert result.verdict == "exactly-once", describe(result)

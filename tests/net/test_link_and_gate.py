@@ -1,5 +1,7 @@
 """Integration tests for links, gates, and writers (no runtime layer yet)."""
 
+import types
+
 import pytest
 
 from repro.config import CostModel
@@ -296,3 +298,74 @@ def test_input_channel_close_fails_pending_put_and_recycles():
     gate.close()
     env.run(until=1.0)
     assert links[0].dropped_buffers > 0
+
+
+def test_reset_never_delivers_a_dead_senders_waiting_put():
+    # A dead sender's buffer still waiting for a wire slot must die with the
+    # connection: clearing the wire would otherwise admit it, and it would
+    # be delivered after a gap the receiver then reports as delivered.
+    env = Environment()
+    link = NetworkLink(env, make_cost(), name="l", capacity=1)
+    receiver = InputChannel(env, 0, capacity=1)
+    link.attach_receiver(receiver)
+    buffers = [
+        types.SimpleNamespace(seq=s, total_bytes=64, recycle_on_consume=False)
+        for s in range(4)
+    ]
+
+    def sender():
+        for buffer in buffers:
+            yield link.send(buffer)
+
+    env.process(sender())
+    env.run(until=0.01)
+    # seq 0 queued at the receiver, seq 1 held by the pump (no credit),
+    # seq 2 on the wire, seq 3 waiting for a wire slot.
+    assert [b.seq for b in receiver.queue.items] == [0]
+    link.reset()
+    delivered = []
+
+    def consumer():
+        while True:
+            buffer = yield receiver.queue.get()
+            delivered.append(buffer.seq)
+
+    env.process(consumer())
+    env.run(until=0.1)
+    # seq 1 was already handed to the receiver; nothing after it arrives.
+    assert delivered == [0, 1]
+    assert receiver.delivered_seq == 1
+    assert link.dropped_buffers == 2
+
+
+def test_put_waiting_for_a_credit_counts_as_delivered():
+    # The pump of a dead sender may be parked in ``deliver`` when the
+    # replacement handshakes; that buffer still lands, so the handshake must
+    # already count it or the replacement sends it a second time.
+    env = Environment()
+    link = NetworkLink(env, make_cost(), name="l", capacity=1)
+    receiver = InputChannel(env, 0, capacity=1)
+    link.attach_receiver(receiver)
+
+    def buffer(seq):
+        return types.SimpleNamespace(seq=seq, total_bytes=64, recycle_on_consume=False)
+
+    def sender(seqs):
+        for seq in seqs:
+            yield link.send(buffer(seq))
+
+    env.process(sender(range(4)))
+    env.run(until=0.01)
+    link.reset()
+    suppress_until_seq = receiver.delivered_seq
+    env.process(sender(range(suppress_until_seq + 1, 4)))
+    delivered = []
+
+    def consumer():
+        while True:
+            got = yield receiver.queue.get()
+            delivered.append(got.seq)
+
+    env.process(consumer())
+    env.run(until=0.1)
+    assert delivered == [0, 1, 2, 3]
